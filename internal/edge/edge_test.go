@@ -165,6 +165,64 @@ func TestOffloadAfterACK(t *testing.T) {
 	}
 }
 
+// TestFullResultBodyIsStateBlob: the server encodes each result once. The
+// full-offload response body is the result snapshot's own encoding, the
+// state blob it publishes to the fleet, and hashes to the stored state.
+func TestFullResultBodyIsStateBlob(t *testing.T) {
+	blobs := newFakeBlobCache()
+	srv, addr := startServer(t, Config{Installed: true, Blobs: blobs, AdvertiseAddr: "self:0"})
+	conn := dial(t, addr)
+	app, err := mlapp.NewFullApp("app-body", "tiny", tinyModel(t, "tiny"), tinyLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, 3)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Capture(app, snapshot.Options{
+		PendingEvent: &webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := conn.OffloadSnapshot(app.ID(), wire, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := snapshot.Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(result.Models) != 0 {
+		t.Fatalf("result carries %d model(s)", len(result.Models))
+	}
+	again, err := result.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(body) {
+		t.Fatal("result body differs from the result's encoding")
+	}
+	key, err := result.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := blobs.Get(key); !ok || string(blob) != string(body) {
+		t.Errorf("state blob under %s (found %v) differs from the result body", key, ok)
+	}
+	stored, ok := srv.store.GetState(app.ID())
+	if !ok {
+		t.Fatal("no stored state")
+	}
+	if h, err := stored.Hash(); err != nil || h != key {
+		t.Errorf("stored state hash = %s (err %v), want %s", h, err, key)
+	}
+}
+
 // TestOffloadBeforeACK: no pre-sending; the snapshot must carry the model
 // weights and still produce the right result (slower but correct).
 func TestOffloadBeforeACK(t *testing.T) {

@@ -488,7 +488,7 @@ func (s *Server) Serve(ln net.Listener) error {
 				s.wg.Add(1)
 				go func() {
 					defer s.wg.Done()
-					defer conn.Close()
+					defer lingerClose(conn)
 					msg, err := protocol.Encode(protocol.MsgError,
 						protocol.ErrorHeader{Message: "edge server at connection capacity"}, nil)
 					if err == nil {
@@ -512,6 +512,29 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			s.handleConn(conn)
 		}()
+	}
+}
+
+// Budget for draining a refused connection before it is closed.
+const (
+	lingerBytes   = 1 << 20
+	lingerTimeout = time.Second
+)
+
+// lingerClose closes a connection after an error frame was written to it.
+// Closing a socket that still holds unread client bytes makes the kernel
+// reset it, and a client still writing its request then gets a broken
+// pipe instead of the error frame. So the write side is shut first and
+// the client's request drained, within a small byte and time budget.
+func lingerClose(conn net.Conn) {
+	defer conn.Close()
+	cw, ok := conn.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
+		return
+	}
+	if conn.SetReadDeadline(time.Now().Add(lingerTimeout)) == nil {
+		// EOF, the deadline and a reset all just end the drain.
+		_, _ = io.CopyN(io.Discard, conn, lingerBytes)
 	}
 }
 
@@ -934,36 +957,40 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, *webapp.Regis
 	return app, registry, nil
 }
 
+// execResult is one executed session: the captured result state and its
+// encoding. The result carries no models (ModelOmit), so the encoding is
+// both the full-offload result body and the state blob.
+type execResult struct {
+	snap *snapshot.Snapshot
+	wire []byte
+}
+
 // captureResult captures the post-execution state and records it as the
-// app's synchronized server-side state for delta offloads: one encode
-// yields both the store's byte-cap charge and the fleet blob published
-// under the state's content hash.
-func (s *Server) captureResult(app *webapp.App, appID string) (*snapshot.Snapshot, error) {
+// app's synchronized server-side state for delta offloads. The result is
+// encoded once: the same bytes are the store's byte-cap charge, the fleet
+// blob published under the state's content hash, and the full-offload
+// response body.
+func (s *Server) captureResult(app *webapp.App, appID string) (*execResult, error) {
 	result, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	if err != nil {
 		return nil, err
 	}
-	bare := *result
-	bare.Models = nil
-	data, err := bare.Encode()
+	data, err := result.Encode()
 	if err != nil {
-		s.logf("edge: encode state blob: %v", err)
-		return result, nil
+		return nil, err
 	}
 	key, err := s.store.PutState(appID, result, int64(len(data)))
 	if err != nil {
 		s.logf("edge: store state for app %q: %v", appID, err)
-		return result, nil
-	}
-	if s.fleetEnabled() {
+	} else if s.fleetEnabled() {
 		s.cfg.Blobs.Put(key, data)
 	}
-	return result, nil
+	return &execResult{snap: result, wire: data}, nil
 }
 
 // executeSnapshot runs one offloaded snapshot on the server's runtime and
 // returns the captured result state (§III.A).
-func (s *Server) executeSnapshot(snap *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+func (s *Server) executeSnapshot(snap *snapshot.Snapshot) (*execResult, error) {
 	app, _, err := s.restoreApp(snap)
 	if err != nil {
 		return nil, err
@@ -1147,8 +1174,9 @@ type svcTiming struct {
 	queue  time.Duration
 	exec   time.Duration
 	batch  int
-	// encodeStart is stamped by the handler just before result encoding;
-	// snapshotResponse closes the span after any compression.
+	// encodeStart is stamped by the handler just before it encodes the
+	// result delta (a full result arrives encoded); snapshotResponse
+	// closes the span after any compression.
 	encodeStart time.Time
 	// streamWait is the mux stream-semaphore wait; negative when the
 	// request was dispatched serially (there is then no semaphore, so zero
@@ -1164,7 +1192,7 @@ type svcTiming struct {
 // errors so the connection handler can answer with the overload marker and
 // load hint that redirect the client to local execution. On success tm (when
 // non-nil) receives the task's queue wait, execution time, and batch size.
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, hdr protocol.SnapshotHeader, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
+func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, hdr protocol.SnapshotHeader, tm *svcTiming, size int64) (*execResult, error) {
 	task := sched.NewTask(s.batchKey(snap), snap)
 	task.Bytes = size
 	if err := s.sched.Submit(task); err != nil {
@@ -1187,7 +1215,7 @@ func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, hdr protocol.Snapshot
 		tm.exec = task.ExecTime()
 		tm.batch = task.BatchSize()
 	}
-	return v.(*snapshot.Snapshot), nil
+	return v.(*execResult), nil
 }
 
 // handleSnapshot runs a full offloaded snapshot and returns the full result
@@ -1216,11 +1244,7 @@ func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) 
 	}
 	s.snapshotsExecuted.Inc()
 	tm.encodeStart = time.Now()
-	body, err := result.Encode()
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, body, tm)
+	return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, result.wire, tm)
 }
 
 // snapshotResponse frames a result body, mirroring the request's encoding.
@@ -1443,7 +1467,7 @@ func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Durat
 	}
 	s.deltasExecuted.Inc()
 	tm.encodeStart = time.Now()
-	resultDelta, err := snapshot.Diff(preExec, result)
+	resultDelta, err := snapshot.Diff(preExec, result.snap)
 	if err != nil {
 		return protocol.Message{}, err
 	}

@@ -1,14 +1,13 @@
 package snapshot
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"websnap/internal/webapp"
 )
@@ -23,19 +22,30 @@ import (
 // deltaHeader is the first line of an encoded delta.
 const deltaHeader = "// websnap-delta v1"
 
-// Hash returns the snapshot's content identity: a hash over its canonical
-// encoding with models excluded (model placement differs between client
-// and server; the synchronized *state* is what deltas are relative to).
+// Hash returns the snapshot's content identity: a digest of its
+// model-less encoding (model placement differs between client and
+// server; the synchronized *state* is what deltas are relative to). The
+// encoding is streamed into the digest with each Float32Array as its raw
+// bits rather than its text, so two hashes are equal exactly when the two
+// model-less encodings are, without formatting a single float.
 func (s *Snapshot) Hash() (string, error) {
-	bare := *s
-	bare.Models = nil
-	data, err := bare.Encode()
-	if err != nil {
+	e := hashers.Get().(*encoder)
+	defer hashers.Put(e)
+	e.buf = e.buf[:0]
+	e.sum.Reset()
+	if err := e.snapshot(s, false); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16]), nil
+	e.sum.Write(e.buf)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(e.sum.Sum(sum[:0])[:16]), nil
 }
+
+// hashers recycles Hash's digest and chunk buffer: every delta round trip
+// hashes several snapshots, most of them small.
+var hashers = sync.Pool{New: func() any {
+	return &encoder{buf: make([]byte, 0, 2*hashChunk), sum: sha256.New()}
+}}
 
 // Delta is the difference between two snapshots of the same app.
 type Delta struct {
@@ -167,87 +177,53 @@ func (d *Delta) Apply(base *Snapshot) (*Snapshot, error) {
 //	__bindings([{...}]);     (only when bindings changed)
 //	__dispatch({...});
 func (d *Delta) Encode() ([]byte, error) {
-	var buf bytes.Buffer
 	hint := len(deltaHeader) + 1 + len(d.AppID) + len(d.CodeHash) + len(d.BaseHash) + 96
 	for name, v := range d.SetGlobals {
 		hint += len(name) + 12 + wireSizeHint(v)
 	}
-	buf.Grow(hint)
-	w := &buf
-	fmt.Fprintln(w, deltaHeader)
-	if err := writeVar(w, "__appID", d.AppID); err != nil {
-		return nil, err
-	}
-	if err := writeVar(w, "__codeHash", d.CodeHash); err != nil {
-		return nil, err
-	}
-	if err := writeVar(w, "__baseHash", d.BaseHash); err != nil {
-		return nil, err
-	}
+	e := encoder{buf: make([]byte, 0, hint)}
+	e.buf = append(e.buf, deltaHeader+"\n"...)
+	e.stringVar("__appID", d.AppID)
+	e.stringVar("__codeHash", d.CodeHash)
+	e.stringVar("__baseHash", d.BaseHash)
 	for _, name := range sortedGlobalNames(d.SetGlobals) {
 		if err := checkReserved(d.SetGlobals[name]); err != nil {
 			return nil, fmt.Errorf("snapshot: delta global %q: %w", name, err)
 		}
-		enc, err := encodeValue(d.SetGlobals[name])
-		if err != nil {
+		if err := e.valueVar(name, d.SetGlobals[name]); err != nil {
 			return nil, fmt.Errorf("snapshot: delta global %q: %w", name, err)
 		}
-		fmt.Fprintf(w, "var %s = %s;\n", name, enc)
 	}
 	for _, name := range d.DelGlobals {
-		enc, err := json.Marshal(name)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "__delete(%s);\n", enc)
+		e.line("__delete", appendString(nil, name))
 	}
 	if d.DOM != nil {
 		dom, err := webapp.MarshalDOM(d.DOM)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "__dom(%s);\n", dom)
+		e.line("__dom", dom)
 	}
 	if d.BindingsChanged {
 		enc, err := json.Marshal(d.Bindings)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "__bindings(%s);\n", enc)
+		e.line("__bindings", enc)
 	}
 	for _, ev := range d.Pending {
-		enc, err := json.Marshal(wireEvent{
-			Target: ev.Target, Type: ev.Type, Payload: toWire(ev.Payload),
-		})
-		if err != nil {
+		if err := e.dispatch(ev); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "__dispatch(%s);\n", enc)
 	}
-	return buf.Bytes(), nil
+	return e.buf, nil
 }
 
 // DecodeDelta parses a delta produced by Encode.
 func DecodeDelta(data []byte) (*Delta, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024), 1<<30)
-	if !sc.Scan() || sc.Text() != deltaHeader {
-		return nil, fmt.Errorf("%w: missing delta header", ErrCorrupt)
-	}
 	d := &Delta{SetGlobals: make(map[string]webapp.Value)}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if err := d.decodeLine(line); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("snapshot: decode delta: %w", err)
+	if err := decodeLines(data, deltaHeader, d.decodeLine); err != nil {
+		return nil, err
 	}
 	if d.AppID == "" || d.CodeHash == "" || d.BaseHash == "" {
 		return nil, fmt.Errorf("%w: delta missing identity fields", ErrCorrupt)
@@ -263,7 +239,8 @@ func (d *Delta) decodeLine(line string) error {
 		if eq < 0 || !strings.HasSuffix(rest, ";") {
 			return fmt.Errorf("malformed var statement")
 		}
-		name := rest[:eq]
+		// A map key sliced from the line would pin the whole line in memory.
+		name := strings.Clone(rest[:eq])
 		body := rest[eq+3 : len(rest)-1]
 		switch name {
 		case "__appID", "__codeHash", "__baseHash":
@@ -327,15 +304,11 @@ func (d *Delta) decodeLine(line string) error {
 		if err != nil {
 			return err
 		}
-		var we wireEvent
-		if err := json.Unmarshal([]byte(body), &we); err != nil {
-			return err
-		}
-		payload, err := fromWire(we.Payload)
+		ev, err := decodeEvent(body)
 		if err != nil {
 			return err
 		}
-		d.Pending = append(d.Pending, webapp.Event{Target: we.Target, Type: we.Type, Payload: payload})
+		d.Pending = append(d.Pending, ev)
 		return nil
 	default:
 		return fmt.Errorf("unrecognized statement %.40q", line)

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
@@ -36,64 +35,61 @@ const f32Key = "__f32__"
 // Running the snapshot (Restore) rebuilds exactly this state and
 // re-dispatches the pending events.
 //
-// The encoder writes directly into one bytes.Buffer pre-sized from the
-// model blob and feature-array sizes, so a snapshot dominated by weights
-// is assembled in a single allocation with no intermediate buffering.
+// The text is assembled in one buffer pre-sized from the model blob and
+// feature-array sizes, so a snapshot dominated by weights or features is
+// written with a single allocation.
 func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(s.encodedSizeHint())
-	w := &buf
-	fmt.Fprintln(w, header)
-	if err := writeVar(w, "__appID", s.AppID); err != nil {
+	e := encoder{buf: make([]byte, 0, s.encodedSizeHint())}
+	if err := e.snapshot(s, true); err != nil {
 		return nil, err
 	}
-	if err := writeVar(w, "__codeHash", s.CodeHash); err != nil {
-		return nil, err
-	}
-	for _, ms := range s.Models {
-		spec, err := json.Marshal(ms.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode model %q spec: %w", ms.Name, err)
+	return e.buf, nil
+}
+
+// snapshot writes the snapshot's statements, the __model lines only when
+// models is set.
+func (e *encoder) snapshot(s *Snapshot, models bool) error {
+	e.buf = append(e.buf, header+"\n"...)
+	e.stringVar("__appID", s.AppID)
+	e.stringVar("__codeHash", s.CodeHash)
+	if models {
+		for _, ms := range s.Models {
+			spec, err := json.Marshal(ms.Spec)
+			if err != nil {
+				return fmt.Errorf("snapshot: encode model %q spec: %w", ms.Name, err)
+			}
+			e.buf = append(e.buf, "__model("...)
+			e.buf = appendString(e.buf, ms.Name)
+			e.buf = append(e.buf, ", "...)
+			e.buf = append(e.buf, spec...)
+			e.buf = append(e.buf, ", \""...)
+			e.buf = base64.StdEncoding.AppendEncode(e.buf, ms.Weights)
+			e.buf = append(e.buf, "\");\n"...)
 		}
-		name, err := json.Marshal(ms.Name)
-		if err != nil {
-			return nil, err
-		}
-		blob := ""
-		if ms.Weights != nil {
-			blob = base64.StdEncoding.EncodeToString(ms.Weights)
-		}
-		fmt.Fprintf(w, "__model(%s, %s, %q);\n", name, spec, blob)
 	}
 	for _, name := range sortedGlobalNames(s.Globals) {
-		enc, err := encodeValue(s.Globals[name])
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode global %q: %w", name, err)
+		if err := e.valueVar(name, s.Globals[name]); err != nil {
+			return fmt.Errorf("snapshot: encode global %q: %w", name, err)
 		}
-		fmt.Fprintf(w, "var %s = %s;\n", name, enc)
 	}
 	dom, err := webapp.MarshalDOM(s.DOM)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fmt.Fprintf(w, "__dom(%s);\n", dom)
+	e.line("__dom", dom)
 	for _, b := range s.Bindings {
 		enc, err := json.Marshal(b)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode binding: %w", err)
+			return fmt.Errorf("snapshot: encode binding: %w", err)
 		}
-		fmt.Fprintf(w, "__bind(%s);\n", enc)
+		e.line("__bind", enc)
 	}
 	for _, ev := range s.Pending {
-		enc, err := json.Marshal(wireEvent{
-			Target: ev.Target, Type: ev.Type, Payload: toWire(ev.Payload),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode event: %w", err)
+		if err := e.dispatch(ev); err != nil {
+			return fmt.Errorf("snapshot: encode event: %w", err)
 		}
-		fmt.Fprintf(w, "__dispatch(%s);\n", enc)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 // encodedSizeHint estimates the encoded snapshot size so Encode can
@@ -143,25 +139,9 @@ func wireSizeHint(v webapp.Value) int {
 
 // Decode parses a textual snapshot produced by Encode.
 func Decode(data []byte) (*Snapshot, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024), 1<<30)
-	if !sc.Scan() || sc.Text() != header {
-		return nil, fmt.Errorf("%w: missing header", ErrCorrupt)
-	}
 	s := &Snapshot{Globals: make(map[string]webapp.Value)}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if err := s.decodeLine(line); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
+	if err := decodeLines(data, header, s.decodeLine); err != nil {
+		return nil, err
 	}
 	if s.AppID == "" || s.CodeHash == "" {
 		return nil, fmt.Errorf("%w: missing __appID or __codeHash", ErrCorrupt)
@@ -172,10 +152,58 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
+// decodeLines checks that data starts with the header line and hands
+// every later non-empty line to decode. Lines split as bufio.ScanLines
+// splits them: at '\n', with a trailing '\r' dropped. data is copied into
+// one string once; the decoders copy whatever they keep, so decoded state
+// never pins the input.
+func decodeLines(data []byte, header string, decode func(line string) error) error {
+	rest := string(data)
+	for n := 1; n == 1 || rest != ""; n++ {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		line = strings.TrimSuffix(line, "\r")
+		switch {
+		case n == 1:
+			if line != header {
+				return fmt.Errorf("%w: missing header %q", ErrCorrupt, header)
+			}
+		case line != "":
+			if err := decode(line); err != nil {
+				return fmt.Errorf("%w: line %d: %v", ErrCorrupt, n, err)
+			}
+		}
+	}
+	return nil
+}
+
+// wireEvent is the __dispatch envelope; the payload is parsed by
+// decodeValue.
 type wireEvent struct {
-	Target  string `json:"target"`
-	Type    string `json:"type"`
-	Payload any    `json:"payload,omitempty"`
+	Target  string          `json:"target"`
+	Type    string          `json:"type"`
+	Payload json.RawMessage `json:"payload"`
+}
+
+// decodeEvent parses a __dispatch body.
+func decodeEvent(body string) (webapp.Event, error) {
+	var we wireEvent
+	if err := json.Unmarshal([]byte(body), &we); err != nil {
+		return webapp.Event{}, err
+	}
+	ev := webapp.Event{Target: we.Target, Type: we.Type}
+	if we.Payload != nil {
+		payload, err := decodeValue(string(we.Payload))
+		if err != nil {
+			return webapp.Event{}, err
+		}
+		ev.Payload = payload
+	}
+	return ev, nil
 }
 
 func (s *Snapshot) decodeLine(line string) error {
@@ -211,15 +239,11 @@ func (s *Snapshot) decodeLine(line string) error {
 		if err != nil {
 			return err
 		}
-		var we wireEvent
-		if err := json.Unmarshal([]byte(body), &we); err != nil {
-			return err
-		}
-		payload, err := fromWire(we.Payload)
+		ev, err := decodeEvent(body)
 		if err != nil {
 			return err
 		}
-		s.Pending = append(s.Pending, webapp.Event{Target: we.Target, Type: we.Type, Payload: payload})
+		s.Pending = append(s.Pending, ev)
 		return nil
 	default:
 		return fmt.Errorf("unrecognized statement %.40q", line)
@@ -232,7 +256,8 @@ func (s *Snapshot) decodeVar(line string) error {
 	if eq < 0 || !strings.HasSuffix(rest, ";") {
 		return fmt.Errorf("malformed var statement")
 	}
-	name := rest[:eq]
+	// A map key sliced from the line would pin the whole line in memory.
+	name := strings.Clone(rest[:eq])
 	body := rest[eq+3 : len(rest)-1]
 	switch name {
 	case "__appID", "__codeHash":
@@ -287,109 +312,12 @@ func (s *Snapshot) decodeModel(line string) error {
 	return nil
 }
 
-// writeVar emits `var name = "<json string>";`.
-func writeVar(w *bytes.Buffer, name, value string) error {
-	enc, err := json.Marshal(value)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "var %s = %s;\n", name, enc)
-	return err
-}
-
 // callBody extracts X from `name(X);`.
 func callBody(line, name string) (string, error) {
 	if !strings.HasPrefix(line, name+"(") || !strings.HasSuffix(line, ");") {
 		return "", fmt.Errorf("malformed %s statement", name)
 	}
 	return line[len(name)+1 : len(line)-2], nil
-}
-
-// encodeValue renders a canonical value as single-line JSON with
-// Float32Array as the {"__f32__": [...]} marker object. Typed-array floats
-// therefore serialize textually, like JS array literals in the paper's
-// snapshots.
-func encodeValue(v webapp.Value) (string, error) {
-	data, err := json.Marshal(toWire(v))
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
-func decodeValue(body string) (webapp.Value, error) {
-	var raw any
-	if err := json.Unmarshal([]byte(body), &raw); err != nil {
-		return nil, err
-	}
-	return fromWire(raw)
-}
-
-// toWire maps the canonical value tree to a json.Marshal-able tree.
-func toWire(v webapp.Value) any {
-	switch t := v.(type) {
-	case webapp.Float32Array:
-		return map[string]any{f32Key: []float32(t)}
-	case []webapp.Value:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = toWire(e)
-		}
-		return out
-	case map[string]webapp.Value:
-		out := make(map[string]any, len(t))
-		for k, e := range t {
-			out[k] = toWire(e)
-		}
-		return out
-	default:
-		return t
-	}
-}
-
-// fromWire maps a json.Unmarshal-ed tree back to canonical value form.
-func fromWire(v any) (webapp.Value, error) {
-	switch t := v.(type) {
-	case nil, bool, float64, string:
-		return t, nil
-	case []any:
-		out := make([]webapp.Value, len(t))
-		for i, e := range t {
-			n, err := fromWire(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = n
-		}
-		return out, nil
-	case map[string]any:
-		if raw, ok := t[f32Key]; ok && len(t) == 1 {
-			arr, ok := raw.([]any)
-			if !ok {
-				return nil, fmt.Errorf("%s marker is not an array", f32Key)
-			}
-			fa := make(webapp.Float32Array, len(arr))
-			for i, e := range arr {
-				f, ok := e.(float64)
-				if !ok {
-					return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
-				}
-				fa[i] = float32(f)
-			}
-			return fa, nil
-		}
-		out := make(map[string]webapp.Value, len(t))
-		for k, e := range t {
-			n, err := fromWire(e)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = n
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unsupported wire type %T", v)
-	}
 }
 
 // checkReserved rejects values that would collide with the Float32Array

@@ -30,6 +30,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(wire)
 	f.Add([]byte(header + "\n"))
 	f.Add([]byte(header + "\nvar x = {\"__f32__\":[1e999]};\n"))
+	for _, seed := range snapshotOverflowSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
@@ -68,6 +71,9 @@ func FuzzDecodeDelta(f *testing.F) {
 	}
 	f.Add(wire)
 	f.Add([]byte(deltaHeader + "\n__delete(\"x\");\n"))
+	for _, seed := range deltaOverflowSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dd, err := DecodeDelta(data)
 		if err != nil {
@@ -198,6 +204,23 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 	})
 }
+
+// snapshotOverflowSeeds and deltaOverflowSeeds are otherwise valid
+// encodings with a typed-array element beyond float32 range. The element
+// would decode to +Inf, which cannot be re-encoded, so decoding must
+// reject it.
+var (
+	snapshotOverflowSeeds = []string{
+		header + "\nvar __appID = \"a\";\nvar __codeHash = \"c\";\nvar x = {\"__f32__\":[1e39]};\n__dom({});\n",
+		header + "\nvar __appID = \"a\";\nvar __codeHash = \"c\";\n__dom({});\n" +
+			"__dispatch({\"target\":\"t\",\"type\":\"e\",\"payload\":{\"__f32__\":[-1e39]}});\n",
+	}
+	deltaOverflowSeeds = []string{
+		deltaHeader + "\nvar __appID = \"a\";\nvar __codeHash = \"c\";\nvar __baseHash = \"b\";\nvar x = {\"__f32__\":[1e39]};\n",
+		deltaHeader + "\nvar __appID = \"a\";\nvar __codeHash = \"c\";\nvar __baseHash = \"b\";\n" +
+			"__dispatch({\"target\":\"t\",\"type\":\"e\",\"payload\":[{\"__f32__\":[3.5e38]}]});\n",
+	}
+)
 
 func seedRegistry() *webapp.Registry {
 	reg := webapp.NewRegistry("fuzz-app")

@@ -69,7 +69,7 @@ func (s *Snapshot) Breakdown() (SizeBreakdown, error) {
 func featureTextBytes(v webapp.Value) int64 {
 	switch t := v.(type) {
 	case webapp.Float32Array:
-		data, err := json.Marshal([]float32(t))
+		data, err := appendFloat32s(nil, t)
 		if err != nil {
 			return 0
 		}
