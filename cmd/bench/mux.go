@@ -22,8 +22,9 @@ import (
 // The mux experiment measures stream multiplexing end to end over real
 // sockets: a live edge server serves N concurrent offload sessions twice
 // — once in the pre-mux topology (one TCP connection per session) and
-// once with every session as a logical stream on a single negotiated
-// connection (HintMuxV1). Both cells run identical snapshots through the
+// once with every session as a logical stream on a single multiplexed
+// connection (client.Conn.NegotiateMux). Both cells run identical
+// snapshots through the
 // production client and server code; the table reports per-request tail
 // latency and the connection count each topology needs.
 

@@ -20,7 +20,7 @@ import (
 )
 
 // The mux soak drives many concurrent offload sessions over ONE shared
-// client.Conn in multiplexed mode (HintMuxV1): every session is a logical
+// client.Conn in multiplexed mode (NegotiateMux): every session is a logical
 // stream interleaved on the same TCP connection. The invariants are the
 // serial soak's, plus the multiplexing claims themselves:
 //

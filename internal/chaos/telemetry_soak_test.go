@@ -176,7 +176,7 @@ func checkSpanParentage(t *testing.T, session int, root *protocol.SpanNode) {
 	}
 }
 
-// TestTelemetrySoakInvariants drives many telemetry-enabled sessions
+// TestTelemetrySoakInvariants drives many traced sessions
 // through an A→B handoff each while hammering a shared client flight ring
 // from concurrent recorders, then checks both invariants.
 func TestTelemetrySoakInvariants(t *testing.T) {
@@ -268,7 +268,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 				return
 			}
 			defer connA.Close()
-			connA.EnableTelemetry()
 			app, err := mlapp.NewFullApp(fmt.Sprintf("soak-app-%d", s), "tiny", model, tinyLabels)
 			if err != nil {
 				t.Errorf("session %d: %v", s, err)
@@ -306,7 +305,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 				return
 			}
 			defer connB.Close()
-			connB.EnableTelemetry()
 			if err := off.Retarget(connB); err != nil {
 				t.Errorf("session %d: retarget: %v", s, err)
 				return

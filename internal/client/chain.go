@@ -35,8 +35,7 @@ type ChainOutcome struct {
 	// Output is the chain's final output tensor.
 	Output *tensor.Tensor
 	// Span is the first hop's span subtree with every downstream hop
-	// grafted under it (nil unless the request carried a trace ID against
-	// a telemetry-capable server).
+	// grafted under it.
 	Span *protocol.SpanNode
 	// TraceID is the ID stamped on the chain request.
 	TraceID string
@@ -49,9 +48,8 @@ type ChainOutcome struct {
 
 // ChainExec ships a boundary tensor down a chain of edge servers, each
 // executing its manifest layer range on the pre-sent model, and returns
-// the final output. traceID, when non-empty, is stamped on the request so
-// every hop's span joins one parented tree; empty generates a fresh ID
-// when telemetry is enabled and omits tracing otherwise.
+// the final output. traceID is stamped on the request so every hop's span
+// joins one parented tree; empty generates a fresh ID.
 //
 // Failures at a specific hop surface as a *ChainHopError (also matching
 // ErrServerError, and ErrOverloaded when a hop shed the request), so the
@@ -60,13 +58,8 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 	if len(hops) == 0 {
 		return nil, errors.New("client: chain: empty hop manifest")
 	}
-	hints, seq := c.streamHints(protocol.HintChainV1)
-	if hints < protocol.HintChainV1 {
-		// A multiplexed stream's floor is HintMuxV1; chains need the full
-		// ladder so hops answer with CRCs and graftable spans.
-		hints = protocol.HintChainV1
-	}
-	if traceID == "" && c.TelemetryEnabled() {
+	seq := c.nextSeq()
+	if traceID == "" {
 		traceID = trace.NewID()
 	}
 	body := protocol.Float32Bytes(boundary.Data())
@@ -74,7 +67,6 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 		AppID:     appID,
 		ModelName: modelName,
 		Seq:       seq,
-		Hints:     hints,
 		Hop:       0,
 		Hops:      hops,
 		Shape:     boundary.Shape(),

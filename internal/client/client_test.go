@@ -300,7 +300,7 @@ func TestPingCollectsLoad(t *testing.T) {
 			return
 		}
 		var hdr protocol.PingHeader
-		if protocol.DecodeHeader(msg, &hdr) != nil || hdr.Hints < protocol.HintLoadV1 {
+		if protocol.DecodeHeader(msg, &hdr) != nil {
 			return
 		}
 		pong, _ := protocol.Encode(protocol.MsgPong, protocol.PongHeader{

@@ -46,9 +46,10 @@ var ErrConnBroken = errors.New("client: connection broken mid-frame")
 // offloading program. It serializes requests with a mutex, so one Conn may
 // be shared by the pre-send goroutine and the offloading path.
 //
-// Every request advertises the load-hint extension; servers that support it
-// attach their scheduling load to responses, which the Conn records for
-// LastLoad. Old servers ignore the advertisement.
+// Servers attach their scheduling load to responses, which the Conn
+// records for LastLoad. A response framed in another protocol version
+// fails its request with an error matching protocol.ErrBadVersion and
+// breaks the Conn.
 type Conn struct {
 	mu      sync.Mutex
 	rw      net.Conn
@@ -65,10 +66,9 @@ type Conn struct {
 	broken bool
 
 	// mux, once NegotiateMux succeeds, switches the Conn to multiplexed
-	// operation: every request carries HintMuxV1 plus a unique Seq, writes
-	// are serialized under mu but responses are read by a single reader
-	// goroutine and routed to the waiting request by Seq, so many logical
-	// streams share this one connection concurrently.
+	// operation: writes are serialized under mu but responses are read by a
+	// single reader goroutine and routed to the waiting request by Seq, so
+	// many logical streams share this one connection concurrently.
 	mux bool
 	// muxSlots bounds in-flight logical streams (per-stream flow control);
 	// acquiring a slot blocks when the window is full.
@@ -77,12 +77,6 @@ type Conn struct {
 	pending map[uint64]chan muxReply
 	// readerDone is closed when the current reader goroutine exits.
 	readerDone chan struct{}
-
-	// telemetry, once EnableTelemetry is called, raises every request's
-	// advertised hint floor to HintTelemetryV1 so servers answer with
-	// cross-process spans and the mux stream-wait report. Off by default:
-	// an unenabled Conn's request bytes stay identical to older clients.
-	telemetry bool
 
 	// rec, when set, receives the demux routing latency of every
 	// multiplexed response (trace.StageDemux) — the time between a frame
@@ -320,39 +314,11 @@ func (c *Conn) checkError(resp protocol.Message) (protocol.Message, error) {
 	return protocol.Message{}, err
 }
 
-// EnableTelemetry opts this Conn into the cross-process telemetry
-// extension: every subsequent request advertises at least HintTelemetryV1,
-// so capable servers answer with span trees (pre-send resolution, fleet
-// hops) and the mux stream-wait report. Old servers ignore the higher hint
-// and answer exactly as before, so enabling it is always safe; it is off
-// by default so an unenabled client's wire bytes stay byte-identical.
-func (c *Conn) EnableTelemetry() {
-	c.mu.Lock()
-	c.telemetry = true
-	c.mu.Unlock()
-}
-
-// TelemetryEnabled reports whether EnableTelemetry has been called.
-func (c *Conn) TelemetryEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.telemetry
-}
-
 // SetTraceRecorder wires a recorder into the Conn's demultiplexer: each
 // multiplexed response's routing latency lands in its StageDemux
 // histogram. The offloader wires its own recorder here so client digests
 // cover the demux stage.
 func (c *Conn) SetTraceRecorder(rec *trace.Recorder) { c.rec.Store(rec) }
-
-// raiseTelemetry lifts a request's hint level to the telemetry floor when
-// the extension is enabled.
-func (c *Conn) raiseTelemetry(hints int) int {
-	if c.TelemetryEnabled() && hints < protocol.HintTelemetryV1 {
-		return protocol.HintTelemetryV1
-	}
-	return hints
-}
 
 // Muxed reports whether stream multiplexing has been negotiated on this
 // connection.
@@ -362,7 +328,8 @@ func (c *Conn) Muxed() bool {
 	return c.mux
 }
 
-// nextSeq allocates a fresh logical-stream ID.
+// nextSeq allocates a fresh logical-stream ID. Every request carries one;
+// the server echoes it on the response.
 func (c *Conn) nextSeq() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -370,14 +337,13 @@ func (c *Conn) nextSeq() uint64 {
 	return c.seq
 }
 
-// NegotiateMux probes the server for the stream-multiplexing extension
-// (HintMuxV1) with one ping and, when the pong advertises support, switches
-// the Conn to multiplexed operation: requests from any number of goroutines
-// are interleaved on this one connection, each as its own logical stream,
-// with at most maxStreams (default DefaultMaxStreams) in flight at once.
-// Returns false against servers that predate the extension — the Conn then
-// keeps its serial one-request-at-a-time behavior, byte-identical to a
-// client that never negotiated.
+// NegotiateMux checks the server's protocol version with one ping and then
+// switches the Conn to multiplexed operation: requests from any number of
+// goroutines are interleaved on this one connection, each as its own
+// logical stream, with at most maxStreams (default DefaultMaxStreams) in
+// flight at once. Every server of this protocol version demultiplexes, so
+// any pong returns true; a server of another version fails the ping with
+// an error matching protocol.ErrBadVersion and leaves the Conn broken.
 //
 // Negotiate before sharing the Conn across goroutines; the probe itself
 // uses the serial path.
@@ -385,7 +351,7 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 	if maxStreams <= 0 {
 		maxStreams = DefaultMaxStreams
 	}
-	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Hints: protocol.HintMuxV1}, nil)
+	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{}, nil)
 	if err != nil {
 		return false, err
 	}
@@ -401,9 +367,6 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 		return false, err
 	}
 	c.noteLoad(hdr.Load)
-	if !hdr.Mux {
-		return false, nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.mux {
@@ -547,24 +510,10 @@ func (c *Conn) roundTripSeq(req protocol.Message, seq uint64) (protocol.Message,
 	return c.roundTrip(req)
 }
 
-// streamHints resolves one request's hint level and stream ID: on a
-// multiplexed Conn every request advertises HintMuxV1 (which implies all
-// lower extensions) and carries a fresh stream ID; serially the request
-// keeps its historical hint level and the bytes stay identical to a client
-// that never negotiated. EnableTelemetry raises either level to
-// HintTelemetryV1.
-func (c *Conn) streamHints(serialHints int) (hints int, seq uint64) {
-	if c.Muxed() {
-		return c.raiseTelemetry(protocol.HintMuxV1), c.nextSeq()
-	}
-	return c.raiseTelemetry(serialHints), 0
-}
-
-// Ping probes the server's install state and, when the server supports the
-// load-hint extension, its current scheduling load.
+// Ping probes the server's install state and its current scheduling load.
 func (c *Conn) Ping() (installed bool, load *protocol.LoadHint, err error) {
-	hints, seq := c.streamHints(protocol.HintLoadV1)
-	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Hints: hints, Seq: seq}, nil)
+	seq := c.nextSeq()
+	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Seq: seq}, nil)
 	if err != nil {
 		return false, nil, err
 	}
@@ -595,10 +544,9 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool)
 	if err := model.EncodeWeights(&weights); err != nil {
 		return fmt.Errorf("client: model %q: %w", name, err)
 	}
-	hints, seq := c.streamHints(protocol.HintCRCV1)
+	seq := c.nextSeq()
 	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
-		Hints: hints, Seq: seq,
+		AppID: appID, ModelName: name, Spec: spec, Partial: partial, Seq: seq,
 		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
 	}, weights.Bytes())
 	if err != nil {
@@ -626,21 +574,20 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool)
 // the header carries the spec and the model's fleet blob key
 // (nn.Fingerprint), but no weight bytes. A fleet server resolves the blob
 // from its cache or a peer and ACKs like a full pre-send; needBlob=true
-// means it could not (client should retry with PreSendModel). Servers that
-// predate the extension fail to decode the empty body and answer an error
-// frame, which is reported as needBlob too — the reference attempt is
-// always safe, it just wastes one round trip against an old server.
+// means it could not (client should retry with PreSendModel). A server
+// that refuses the reference with a clean error frame is reported as
+// needBlob too — the reference attempt is always safe, it just wastes one
+// round trip.
 func (c *Conn) PreSendModelRef(appID, name string, model *nn.Network, partial bool) (needBlob bool, err error) {
 	needBlob, _, err = c.PreSendModelRefTraced(appID, name, model, partial, "")
 	return needBlob, err
 }
 
 // PreSendModelRefTraced is PreSendModelRef with cross-process trace
-// propagation: traceID is stamped on the request (implying
-// HintTelemetryV1), and the server's resolve span — covering its registry
-// locate and peer fetches — comes back alongside the NeedBlob verdict, so
-// a roam handoff's pre-sends join the client's trace under one ID. Empty
-// traceID degrades to the untraced request bytes.
+// propagation: traceID is stamped on the request, and the server's resolve
+// span — covering its registry locate and peer fetches — comes back
+// alongside the NeedBlob verdict, so a roam handoff's pre-sends join the
+// client's trace under one ID. Empty traceID sends an untraced request.
 func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, partial bool, traceID string) (needBlob bool, span *protocol.SpanNode, err error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
@@ -650,13 +597,9 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 	if key == "" {
 		return true, nil, nil
 	}
-	hints, seq := c.streamHints(protocol.HintFleetV1)
-	if traceID != "" && hints < protocol.HintTelemetryV1 {
-		hints = protocol.HintTelemetryV1
-	}
+	seq := c.nextSeq()
 	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
-		Hints: hints, Seq: seq,
+		AppID: appID, ModelName: name, Spec: spec, Partial: partial, Seq: seq,
 		BlobKey: key,
 		RefOnly: true,
 		TraceID: traceID,
@@ -667,9 +610,8 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 	resp, err := c.roundTripSeq(req, seq)
 	if err != nil {
 		if errors.Is(err, ErrServerError) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrConnBroken) {
-			// A clean error frame: an old server choked on the empty body
-			// (or refused the reference). The stream is intact — fall back
-			// to a full upload.
+			// A clean error frame: the server refused the reference. The
+			// stream is intact — fall back to a full upload.
 			return true, nil, nil
 		}
 		return false, nil, fmt.Errorf("client: ref pre-send %q: %w", name, err)
@@ -720,19 +662,13 @@ type offloadReply struct {
 	// RoundTrip spans request write start to response read completion.
 	RoundTrip time.Duration
 	// TraceID is the ID stamped on the request; ServerTrace is the
-	// server's span report (nil when the server predates the trace
-	// extension).
+	// server's span report.
 	TraceID     string
 	ServerTrace *protocol.ServerTrace
 }
 
 func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, encoded []byte, compress bool) (offloadReply, error) {
 	seq := c.nextSeq()
-	hints := protocol.HintCRCV1
-	if c.Muxed() {
-		hints = protocol.HintMuxV1
-	}
-	hints = c.raiseTelemetry(hints)
 	var reply offloadReply
 	reply.TraceID = trace.NewID()
 	body := encoded
@@ -748,8 +684,7 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 		encoding = protocol.EncodingFlate
 	}
 	req, err := protocol.Encode(reqType, protocol.SnapshotHeader{
-		AppID: appID, Seq: seq, Encoding: encoding,
-		Hints: hints, TraceID: reply.TraceID,
+		AppID: appID, Seq: seq, Encoding: encoding, TraceID: reply.TraceID,
 		BodyCRC: protocol.BodyChecksum(body),
 	}, body)
 	if err != nil {
@@ -799,9 +734,9 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 // InstallOverlay ships a compressed VM overlay for on-demand installation
 // and returns the server-reported synthesis time.
 func (c *Conn) InstallOverlay(baseImage string, blob []byte) (time.Duration, error) {
-	hints, seq := c.streamHints(0)
+	seq := c.nextSeq()
 	req, err := protocol.Encode(protocol.MsgInstallOverlay,
-		protocol.InstallOverlayHeader{BaseImage: baseImage, Hints: hints, Seq: seq}, blob)
+		protocol.InstallOverlayHeader{BaseImage: baseImage, Seq: seq}, blob)
 	if err != nil {
 		return 0, err
 	}

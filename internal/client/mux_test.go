@@ -16,8 +16,8 @@ import (
 	"websnap/internal/webapp"
 )
 
-// TestNegotiateMuxEnablesConcurrency pins the negotiated handshake: the
-// pong advertises mux support, the Conn flips to multiplexed operation,
+// TestNegotiateMuxEnablesConcurrency pins the handshake: a pong from a
+// server of this protocol version flips the Conn to multiplexed operation,
 // and many goroutines can then share it for interleaved round trips on
 // the single underlying connection.
 func TestNegotiateMuxEnablesConcurrency(t *testing.T) {
@@ -30,7 +30,7 @@ func TestNegotiateMuxEnablesConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok || !conn.Muxed() {
-		t.Fatal("server supports HintMuxV1; negotiation should enable mux")
+		t.Fatal("negotiation against a current server should enable mux")
 	}
 
 	model := tinyModel(t)
@@ -84,9 +84,10 @@ func TestNegotiateMuxEnablesConcurrency(t *testing.T) {
 	}
 }
 
-// TestNegotiateMuxOldServer pins the downgrade path: a server that answers
-// the probe without the mux capability leaves the Conn serial and fully
-// usable.
+// TestNegotiateMuxOldServer pins the version handshake from the client
+// side: a server that answers with version-1 frames fails the probe with
+// an error matching protocol.ErrBadVersion, and the Conn is marked broken
+// and stays serial.
 func TestNegotiateMuxOldServer(t *testing.T) {
 	testutil.LeakCheck(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -104,9 +105,9 @@ func TestNegotiateMuxOldServer(t *testing.T) {
 			if _, err := protocol.Read(c); err != nil {
 				return
 			}
-			// An old server: pong without the mux capability (and no seq).
+			// An old server: a well-formed pong, framed as version 1.
 			msg, _ := protocol.Encode(protocol.MsgPong, protocol.PongHeader{Installed: true}, nil)
-			if protocol.Write(c, msg) != nil {
+			if testutil.WriteFrameVersion(c, msg, 1) != nil {
 				return
 			}
 		}
@@ -118,14 +119,17 @@ func TestNegotiateMuxOldServer(t *testing.T) {
 	}
 	defer conn.Close()
 	ok, err := conn.NegotiateMux(8)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, protocol.ErrBadVersion) {
+		t.Fatalf("negotiate against a version-1 server: err = %v, want ErrBadVersion", err)
 	}
 	if ok || conn.Muxed() {
-		t.Fatal("negotiation against a mux-less server must leave the Conn serial")
+		t.Fatal("a refused negotiation must leave the Conn serial")
 	}
-	if installed, _, err := conn.Ping(); err != nil || !installed {
-		t.Fatalf("serial Conn unusable after failed negotiation: installed=%v err=%v", installed, err)
+	if !conn.Broken() {
+		t.Fatal("Conn not marked broken after a version mismatch")
+	}
+	if _, _, err := conn.Ping(); !errors.Is(err, ErrConnBroken) {
+		t.Fatalf("request after a version mismatch returned %v, want fail-fast ErrConnBroken", err)
 	}
 }
 
@@ -155,11 +159,11 @@ func TestMuxTimeoutBreaksConn(t *testing.T) {
 			}
 			n++
 			if n == 1 {
-				// Answer the negotiation probe like a mux-capable server.
+				// Answer the negotiation probe.
 				var ping protocol.PingHeader
 				_ = protocol.DecodeHeader(msg, &ping)
 				pong, _ := protocol.Encode(protocol.MsgPong,
-					protocol.PongHeader{Installed: true, Mux: true, Seq: ping.Seq}, nil)
+					protocol.PongHeader{Installed: true, Seq: ping.Seq}, nil)
 				if protocol.Write(c, pong) != nil {
 					return
 				}

@@ -84,8 +84,8 @@ type Options struct {
 	// (nn.Fingerprint) before uploading bytes. A fleet server that holds
 	// the blob — or can fetch it from a peer — ACKs without the upload, so
 	// a roaming client never re-ships a model the fleet already has; a
-	// NeedBlob answer (or an old server's error) falls back to the full
-	// upload at the cost of one extra round trip.
+	// NeedBlob answer (or an error frame refusing the reference) falls
+	// back to the full upload at the cost of one extra round trip.
 	BlobRefPreSend bool
 	// FleetSync keeps the delta sync point across Retarget: in a fleet the
 	// new server recovers the base state from the blob index (published by
@@ -146,7 +146,7 @@ type Stats struct {
 	// reference — the fleet already held the blob, zero bytes shipped.
 	RefPreSendHits int
 	// RefPreSendMisses counts reference attempts answered NeedBlob (or
-	// refused by an old server), each followed by a full upload.
+	// refused with an error frame), each followed by a full upload.
 	RefPreSendMisses int
 	// LastTiming is the wall-clock phase breakdown of the last offload —
 	// the real-path counterpart of the paper's Fig 7.
@@ -158,7 +158,7 @@ type Stats struct {
 	// recent traced handoff pre-send: the client root over the new
 	// server's resolve span, which nests the registry locate and any peer
 	// fetch — one tree, one trace ID, every process the handoff touched.
-	// Nil until a Retarget on a telemetry-enabled Conn pre-sends a model.
+	// Nil until a Retarget pre-sends a model by reference.
 	LastHandoffSpan *protocol.SpanNode
 }
 
@@ -203,9 +203,9 @@ type Offloader struct {
 	// lastSync is the last full snapshot state both client and server
 	// hold (the server's previous result), the base for delta offloads.
 	lastSync *snapshot.Snapshot
-	// handoffTrace, set by Retarget on a telemetry-enabled Conn, is the
-	// trace ID stamped on the post-handoff pre-sends so the new server's
-	// resolution work (registry locate, peer fetch) joins one trace.
+	// handoffTrace, set by Retarget, is the trace ID stamped on the
+	// post-handoff pre-sends so the new server's resolution work
+	// (registry locate, peer fetch) joins one trace.
 	handoffTrace string
 
 	presendWG      sync.WaitGroup
@@ -272,12 +272,9 @@ func (o *Offloader) Retarget(conn *Conn) error {
 	o.conn = conn
 	o.acked = make(map[string]bool)
 	o.ackErrs = nil
-	// A telemetry-enabled handoff gets one trace ID for all its pre-sends:
-	// the new server's resolution hops all join the same tree.
-	o.handoffTrace = ""
-	if conn.TelemetryEnabled() {
-		o.handoffTrace = trace.NewID()
-	}
+	// A handoff gets one trace ID for all its pre-sends: the new server's
+	// resolution hops all join the same tree.
+	o.handoffTrace = trace.NewID()
 	if !o.opts.FleetSync {
 		// Outside a fleet the new server cannot know the old sync point.
 		// With FleetSync the base survives: the previous server published

@@ -250,22 +250,19 @@ func TestChainModelMissing(t *testing.T) {
 	}
 }
 
-// TestChainPongAdvertisesCapability checks the hint-gated capability bit.
-func TestChainPongAdvertisesCapability(t *testing.T) {
+// TestPongAlwaysCarriesLoad checks that every ping is answered with the
+// server's load and its own Seq echoed, with no capability bits to
+// negotiate: every server of this protocol version executes and relays
+// chain frames.
+func TestPongAlwaysCarriesLoad(t *testing.T) {
 	_, addr := startChainServer(t, Config{})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	for _, tc := range []struct {
-		hints int
-		want  bool
-	}{
-		{protocol.HintChainV1, true},
-		{protocol.HintLoadV1, false},
-	} {
-		msg, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Hints: tc.hints}, nil)
+	for _, seq := range []uint64{0, 7} {
+		msg, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Seq: seq}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,8 +277,8 @@ func TestChainPongAdvertisesCapability(t *testing.T) {
 		if err := protocol.DecodeHeader(resp, &pong); err != nil {
 			t.Fatal(err)
 		}
-		if pong.Chain != tc.want {
-			t.Fatalf("hints %d: pong.Chain = %v, want %v", tc.hints, pong.Chain, tc.want)
+		if pong.Load == nil || pong.Seq != seq || !pong.Installed {
+			t.Fatalf("ping seq %d: pong = %+v, want load, installed and seq echoed", seq, pong)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestSnapshotChecksumRejected(t *testing.T) {
 	wire[len(wire)/2] ^= 0x04 // corrupt after checksumming
 
 	req, err := protocol.Encode(protocol.MsgSnapshot, protocol.SnapshotHeader{
-		AppID: "crc-app", Seq: 1, Hints: protocol.HintCRCV1, BodyCRC: sum,
+		AppID: "crc-app", Seq: 1, BodyCRC: sum,
 	}, wire)
 	if err != nil {
 		t.Fatal(err)
@@ -120,17 +120,17 @@ func TestModelPreSendChecksumRejected(t *testing.T) {
 	}
 }
 
-// TestResponseChecksumGatedOnHint checks the CRC extension's negotiation:
-// clients advertising HintCRCV1 get a checksummed response body, older
-// clients get a header without the field.
-func TestResponseChecksumGatedOnHint(t *testing.T) {
+// TestResponseChecksumAlwaysAttached checks that every snapshot response
+// carries a checksum its body verifies against, whether or not the request
+// itself was checksummed.
+func TestResponseChecksumAlwaysAttached(t *testing.T) {
 	_, addr := startServer(t, Config{Installed: true})
 	model := tinyModel(t, "tiny")
 
-	offload := func(hints int) protocol.SnapshotHeader {
+	offload := func(checksummed bool) protocol.SnapshotHeader {
 		wire := encodeClickSnapshot(t, "crc-gate", model)
-		hdr := protocol.SnapshotHeader{AppID: "crc-gate", Seq: 1, Hints: hints}
-		if hints >= protocol.HintCRCV1 {
+		hdr := protocol.SnapshotHeader{AppID: "crc-gate", Seq: 1}
+		if checksummed {
 			hdr.BodyCRC = protocol.BodyChecksum(wire)
 		}
 		req, err := protocol.Encode(protocol.MsgSnapshot, hdr, wire)
@@ -148,14 +148,13 @@ func TestResponseChecksumGatedOnHint(t *testing.T) {
 			}
 			return rh
 		}
-		t.Fatalf("offload with hints=%d answered with error", hints)
+		t.Fatalf("offload (checksummed=%v) answered with error", checksummed)
 		return protocol.SnapshotHeader{}
 	}
 
-	if hdr := offload(protocol.HintCRCV1); hdr.BodyCRC == 0 {
-		t.Error("HintCRCV1 request: response carries no checksum")
-	}
-	if hdr := offload(protocol.HintTraceV1); hdr.BodyCRC != 0 {
-		t.Error("pre-CRC client received a checksum field")
+	for _, checksummed := range []bool{true, false} {
+		if hdr := offload(checksummed); hdr.BodyCRC == 0 {
+			t.Errorf("request checksummed=%v: response carries no checksum", checksummed)
+		}
 	}
 }

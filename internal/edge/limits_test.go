@@ -3,6 +3,8 @@ package edge
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,9 @@ import (
 
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
+	"websnap/internal/protocol"
+	"websnap/internal/testutil"
+	"websnap/internal/vmsynth"
 	"websnap/internal/webapp"
 )
 
@@ -237,5 +242,85 @@ func TestIdleTimeoutClosesConnection(t *testing.T) {
 			t.Fatalf("active conn round %d: %v", i, err)
 		}
 		time.Sleep(30 * time.Millisecond) // well within the timeout
+	}
+}
+
+// TestStreamInFlightIsNotIdle is a regression test: a connection whose
+// request is still executing is not idle. The server used to re-arm the
+// idle read deadline while a muxed request ran, so a request outlasting
+// IdleTimeout closed the socket right after its response and the client's
+// next request failed with ErrConnBroken.
+func TestStreamInFlightIsNotIdle(t *testing.T) {
+	const idle, work = 100 * time.Millisecond, 400 * time.Millisecond
+	data := []byte(strings.Repeat("offloading-system-binaries", 256))
+	overlay, err := vmsynth.BuildOverlay(vmsynth.Component{
+		Name: "system", RawBytes: int64(len(data)), CompressRatio: 0.4, Data: data,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, muxed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("muxed=%v", muxed), func(t *testing.T) {
+			// The synthesizer sleeps its modeled time: 400 ms of work.
+			syn := vmsynth.NewSynthesizer(vmsynth.BaseImage{Name: "ubuntu-12.04", Bytes: 1})
+			syn.Wait = true
+			syn.ApplyBytesPerSec = float64(len(overlay.Compressed)) / work.Seconds()
+			_, addr := startServer(t, Config{Synthesizer: syn, IdleTimeout: idle})
+			conn := dial(t, addr)
+			if muxed {
+				if ok, err := conn.NegotiateMux(4); err != nil || !ok {
+					t.Fatalf("negotiate: ok=%v err=%v", ok, err)
+				}
+			}
+			took, err := conn.InstallOverlay("ubuntu-12.04", overlay.Compressed)
+			if err != nil {
+				t.Fatalf("install: %v", err)
+			}
+			if took < 3*idle {
+				t.Fatalf("install took %v, want a request longer than the idle timeout", took)
+			}
+			if _, _, err := conn.Ping(); err != nil {
+				t.Fatalf("request after a long-running one: %v", err)
+			}
+		})
+	}
+}
+
+// TestBadVersionRefused pins the version handshake from the server side: a
+// frame of protocol version 1 is answered with one MsgError naming the
+// version, and the server then closes the connection.
+func TestBadVersionRefused(t *testing.T) {
+	srv, addr := startServer(t, Config{Installed: true})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ping, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := testutil.WriteFrameVersion(c, ping, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := protocol.Read(c)
+	if err != nil {
+		t.Fatalf("read refusal: %v", err)
+	}
+	var hdr protocol.ErrorHeader
+	if resp.Type != protocol.MsgError || protocol.DecodeHeader(resp, &hdr) != nil {
+		t.Fatalf("response = %s %s, want an error frame", resp.Type, resp.Header)
+	}
+	if !strings.Contains(hdr.Message, "version") || !strings.Contains(hdr.Message, "1") {
+		t.Errorf("error message %q does not name the version", hdr.Message)
+	}
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("after the refusal: read err = %v, want EOF", err)
+	}
+	if m := srv.Metrics(); m.Errors != 1 {
+		t.Errorf("Errors = %d, want 1", m.Errors)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -200,8 +201,8 @@ type Server struct {
 	refPreSendHits, refPreSendMisses    *obs.Counter
 	blobPeerFetches, blobPeerFetchBytes *obs.Counter
 	blobsServed, basesRecovered         *obs.Counter
-	// Multiplexing counters: requests dispatched concurrently off a mux
-	// connection, and the live concurrent-stream gauge behind them.
+	// Multiplexing counters: requests dispatched as streams (every request
+	// is one), and the live concurrent-stream gauge behind them.
 	muxRequests *obs.Counter
 	muxActive   atomic.Int64
 
@@ -229,8 +230,8 @@ type Metrics struct {
 	Installs int64
 	// Errors counts requests answered with MsgError.
 	Errors int64
-	// MuxRequests counts requests dispatched concurrently as multiplexed
-	// logical streams (HintMuxV1).
+	// MuxRequests counts requests dispatched as logical streams; every
+	// connection is multiplexed, so this is every request read.
 	MuxRequests int64
 	// StoreBytes and StoreEvictions mirror the bounded session store: its
 	// current byte charge and how many entries the byte cap has evicted.
@@ -431,15 +432,6 @@ func (s *Server) loadHint() *protocol.LoadHint {
 	}
 }
 
-// hintFor returns the load hint when the request advertised the extension,
-// nil otherwise (old clients get byte-identical headers).
-func (s *Server) hintFor(hints int) *protocol.LoadHint {
-	if hints >= protocol.HintLoadV1 {
-		return s.loadHint()
-	}
-	return nil
-}
-
 // Store exposes the server's model store (for tests and inspection).
 func (s *Server) Store() *ModelStore { return s.store }
 
@@ -488,13 +480,8 @@ func (s *Server) Serve(ln net.Listener) error {
 				s.wg.Add(1)
 				go func() {
 					defer s.wg.Done()
-					defer lingerClose(conn)
-					msg, err := protocol.Encode(protocol.MsgError,
-						protocol.ErrorHeader{Message: "edge server at connection capacity"}, nil)
-					if err == nil {
-						if err := protocol.Write(conn, msg); err != nil {
-							s.logf("edge: refuse conn: %v", err)
-						}
+					if err := protocol.Refuse(conn, "edge server at connection capacity"); err != nil {
+						s.logf("edge: refuse conn: %v", err)
 					}
 				}()
 				continue
@@ -512,29 +499,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			s.handleConn(conn)
 		}()
-	}
-}
-
-// Budget for draining a refused connection before it is closed.
-const (
-	lingerBytes   = 1 << 20
-	lingerTimeout = time.Second
-)
-
-// lingerClose closes a connection after an error frame was written to it.
-// Closing a socket that still holds unread client bytes makes the kernel
-// reset it, and a client still writing its request then gets a broken
-// pipe instead of the error frame. So the write side is shut first and
-// the client's request drained, within a small byte and time budget.
-func lingerClose(conn net.Conn) {
-	defer conn.Close()
-	cw, ok := conn.(interface{ CloseWrite() error })
-	if !ok || cw.CloseWrite() != nil {
-		return
-	}
-	if conn.SetReadDeadline(time.Now().Add(lingerTimeout)) == nil {
-		// EOF, the deadline and a reset all just end the drain.
-		_, _ = io.CopyN(io.Discard, conn, lingerBytes)
 	}
 }
 
@@ -557,7 +521,8 @@ func (s *Server) Close() error {
 	}
 	// Drain the scheduler: running batches complete, queued tasks fail
 	// with ErrClosed. Their waiting connection handlers then write the
-	// final result or Error frame, which reqWG tracks.
+	// final result or Error frame, which reqWG tracks. closed is set, so
+	// beginRequest adds no request to reqWG from here on.
 	s.sched.Close()
 	s.reqWG.Wait()
 	// Terminate live connections: without this, Close would wait forever
@@ -589,37 +554,59 @@ func (s *Server) trackConn(conn net.Conn, add bool) {
 // upload on a slow link alive: the old single up-front deadline killed any
 // transfer whose total time exceeded the idle timeout, no matter how
 // steadily bytes were flowing.
+//
+// A connection with a request in flight is not idle: while it is busy an
+// expired idle deadline is re-armed instead of ending the read.
 type deadlineReader struct {
 	conn           net.Conn
 	idle, transfer time.Duration
 	// inFrame marks that the current frame's first byte has been read, so
 	// reads are on the transfer clock until frameDone resets it.
 	inFrame bool
+	// streams counts the connection's requests in flight; lastDone is when
+	// the latest one finished (unix nanoseconds).
+	streams, lastDone atomic.Int64
 }
 
 func (r *deadlineReader) Read(p []byte) (int, error) {
-	d := r.idle
-	if r.inFrame {
-		d = r.transfer
-	}
-	if d > 0 {
-		if err := r.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return 0, err
+	for {
+		d := r.idle
+		if r.inFrame {
+			d = r.transfer
+		}
+		if d > 0 {
+			if err := r.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+				return 0, err
+			}
+		}
+		n, err := r.conn.Read(p)
+		if n > 0 {
+			r.inFrame = true
+		}
+		if n > 0 || r.inFrame || !errors.Is(err, os.ErrDeadlineExceeded) || !r.busy() {
+			return n, err
 		}
 	}
-	n, err := r.conn.Read(p)
-	if n > 0 {
-		r.inFrame = true
-	}
-	return n, err
+}
+
+// busy reports whether a request is in flight on the connection or
+// finished less than the idle timeout ago.
+func (r *deadlineReader) busy() bool {
+	return r.streams.Load() > 0 || time.Since(time.Unix(0, r.lastDone.Load())) < r.idle
+}
+
+// streamDone marks one in-flight request finished.
+func (r *deadlineReader) streamDone() {
+	r.lastDone.Store(time.Now().UnixNano())
+	r.streams.Add(-1)
 }
 
 // frameDone returns the reader to the idle clock for the next frame.
 func (r *deadlineReader) frameDone() { r.inFrame = false }
 
-// connWriter serializes response frames onto one connection: in mux mode
-// many handler goroutines finish in arbitrary order and interleave whole
-// frames under the mutex.
+// connWriter serializes response frames onto one connection: many stream
+// goroutines finish in arbitrary order and interleave whole frames under
+// the mutex.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -640,11 +627,13 @@ func (s *Server) maxStreams() int {
 }
 
 // handleConn serves one client connection: a sequence of framed requests,
-// each answered with exactly one response. Requests advertising HintMuxV1
-// carry a stream id and are dispatched concurrently — the response order
-// then follows completion, not arrival, and the client demultiplexes by
-// the echoed Seq. Requests without the hint are handled inline, strictly
-// serially, exactly as before the extension.
+// each answered with exactly one response that echoes the request's Seq.
+// Every request runs as its own stream, concurrently with the others on the
+// connection, so the response order follows completion, not arrival; a
+// client with one request in flight sees strictly serial behaviour. The
+// first frame is also the version handshake: a frame of another protocol
+// version (or not a frame at all) is answered with one MsgError and a
+// lingering close.
 func (s *Server) handleConn(conn net.Conn) {
 	transfer := s.cfg.TransferTimeout
 	if transfer <= 0 {
@@ -655,73 +644,91 @@ func (s *Server) handleConn(conn net.Conn) {
 	var streams sync.WaitGroup
 	// slots caps this connection's in-flight streams; a full window blocks
 	// the read loop, so flow control is the transport's backpressure.
-	var slots chan struct{}
+	slots := make(chan struct{}, s.maxStreams())
 	defer streams.Wait()
 	for {
 		dr.frameDone()
 		msg, err := protocol.Read(dr)
 		if err != nil {
+			if errors.Is(err, protocol.ErrBadVersion) || errors.Is(err, protocol.ErrBadMagic) {
+				s.logf("edge: refusing peer: %v", err)
+				s.errorsAnswered.Inc()
+				streams.Wait()
+				if err := protocol.Refuse(conn, err.Error()); err != nil {
+					s.logf("edge: refuse peer: %v", err)
+				}
+				return
+			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.logf("edge: read: %v", err)
 			}
 			return
 		}
 		var env protocol.MuxEnvelope
-		// An undecodable header dispatches serially; the handler reports
-		// the decode error on the connection's single in-order response.
+		// An undecodable header still dispatches; the handler reports the
+		// decode error on the request's response.
 		_ = json.Unmarshal(msg.Header, &env)
-		if env.Muxed() {
-			if slots == nil {
-				slots = make(chan struct{}, s.maxStreams())
+		// The stream-semaphore wait is where backpressure bites; time it so
+		// the per-stream span and the stream_wait stage histogram expose a
+		// saturated window.
+		waitStart := time.Now()
+		slots <- struct{}{}
+		streamWait := time.Since(waitStart)
+		if !s.beginRequest() {
+			// Close has begun: answer with the typed drain error.
+			s.errorsAnswered.Inc()
+			if resp, err := protocol.Encode(protocol.MsgError,
+				protocol.ErrorHeader{Message: sched.ErrClosed.Error(), Seq: env.Seq}, nil); err == nil {
+				_ = cw.write(resp)
 			}
-			// The stream-semaphore wait is where mux backpressure bites;
-			// time it so the per-stream span and the stream_wait stage
-			// histogram expose a saturated window.
-			waitStart := time.Now()
-			slots <- struct{}{}
-			streamWait := time.Since(waitStart)
-			s.muxRequests.Inc()
-			s.muxActive.Add(1)
-			streams.Add(1)
-			go func(msg protocol.Message, env protocol.MuxEnvelope) {
-				defer streams.Done()
-				defer s.muxActive.Add(-1)
-				defer func() { <-slots }()
-				if err := s.serveRequest(cw, msg, env, streamWait); err != nil {
-					// The shared socket is broken; close it so the read
-					// loop and sibling streams unwind.
-					conn.Close()
-				}
-			}(msg, env)
-			continue
-		}
-		if err := s.serveRequest(cw, msg, env, -1); err != nil {
 			return
 		}
+		s.muxRequests.Inc()
+		s.muxActive.Add(1)
+		dr.streams.Add(1)
+		streams.Add(1)
+		go func() {
+			defer streams.Done()
+			defer s.reqWG.Done()
+			defer s.muxActive.Add(-1)
+			defer dr.streamDone()
+			defer func() { <-slots }()
+			if err := s.serveRequest(cw, msg, env.Seq, streamWait); err != nil {
+				// The shared socket is broken; close it so the read loop
+				// and sibling streams unwind.
+				conn.Close()
+			}
+		}()
 	}
 }
 
-// serveRequest dispatches one request and writes its response, tracked by
-// reqWG so Close lets the final frame flush before terminating the
-// connection. streamWait is the mux stream-semaphore wait (negative for
-// serially dispatched requests, which never queue on the semaphore).
-func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, env protocol.MuxEnvelope, streamWait time.Duration) error {
+// beginRequest counts one request in reqWG, unless Close has begun: Close
+// waits on reqWG, and a WaitGroup must not grow from zero while it is
+// waited on.
+func (s *Server) beginRequest() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
 	s.reqWG.Add(1)
-	defer s.reqWG.Done()
+	return true
+}
+
+// serveRequest dispatches one request and writes its response, echoing seq.
+// streamWait is the stream-semaphore wait the request spent before
+// dispatch.
+func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, seq uint64, streamWait time.Duration) error {
 	resp, err := s.dispatch(msg, streamWait)
 	if err != nil {
 		s.logf("edge: %s: %v", msg.Type, err)
 		s.errorsAnswered.Inc()
-		hdr := protocol.ErrorHeader{Message: err.Error()}
-		if env.Muxed() {
-			hdr.Seq = env.Seq
-		}
+		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: seq}
 		var oe *overloadError
 		if errors.As(err, &oe) {
 			hdr.Message = oe.err.Error()
-			hdr.Seq = oe.seq
 			hdr.Overloaded = oe.overloaded
-			hdr.Load = s.hintFor(oe.hints)
+			hdr.Load = s.loadHint()
 		}
 		// A chain failure additionally locates the failed hop so the
 		// client's re-planner can exclude it from the next manifest.
@@ -742,14 +749,11 @@ func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, env protocol
 	return nil
 }
 
-// overloadError decorates a scheduler admission failure with the request
-// context its Error frame needs: the sequence number, the overload marker
-// that tells the client to execute locally, and the negotiated hints.
+// overloadError decorates a scheduler admission failure with the overload
+// marker that tells the client to execute locally.
 type overloadError struct {
 	err        error
-	seq        uint64
 	overloaded bool
-	hints      int
 }
 
 func (e *overloadError) Error() string { return e.err.Error() }
@@ -778,9 +782,9 @@ func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadErro
 	})
 }
 
-// dispatch routes one request to its handler. streamWait (negative when the
-// request was dispatched serially) reaches the snapshot handlers so the
-// mux stream-semaphore wait lands in the request's server trace.
+// dispatch routes one request to its handler. streamWait reaches the
+// snapshot and chain handlers so the stream-semaphore wait lands in the
+// request's server trace.
 func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	// Pings work before installation: probes need to learn the install
 	// state without tripping an error.
@@ -808,26 +812,19 @@ func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (proto
 	}
 }
 
-// handlePing answers a load probe with the server's install state and, when
-// negotiated, its scheduling load.
+// handlePing answers a load probe with the server's install state, its
+// scheduling load and its fleet membership.
 func (s *Server) handlePing(msg protocol.Message) (protocol.Message, error) {
 	var hdr protocol.PingHeader
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
 		return protocol.Message{}, err
 	}
-	pong := protocol.PongHeader{
+	return protocol.Encode(protocol.MsgPong, protocol.PongHeader{
 		Installed: s.Installed(),
-		Load:      s.hintFor(hdr.Hints),
-		Fleet:     hdr.Hints >= protocol.HintFleetV1 && s.fleetEnabled(),
-	}
-	if hdr.Hints >= protocol.HintMuxV1 {
-		pong.Mux = true
-		pong.Seq = hdr.Seq
-	}
-	if hdr.Hints >= protocol.HintChainV1 {
-		pong.Chain = true
-	}
-	return protocol.Encode(protocol.MsgPong, pong, nil)
+		Load:      s.loadHint(),
+		Fleet:     s.fleetEnabled(),
+		Seq:       hdr.Seq,
+	}, nil)
 }
 
 // decodeModel rebuilds a network from a pre-send header's spec and a
@@ -855,11 +852,11 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
 		return protocol.Message{}, err
 	}
-	// A telemetry-capable client propagated its trace through the pre-send
-	// hop: collect the fleet-hop spans (registry locate, peer fetches) and
+	// A traced client propagated its trace through the pre-send hop:
+	// collect the fleet-hop spans (registry locate, peer fetches) and
 	// parent them under one resolve span answered on the ack.
 	var trail *spanTrail
-	if hdr.Hints >= protocol.HintTelemetryV1 && hdr.TraceID != "" {
+	if hdr.TraceID != "" {
 		trail = &spanTrail{traceID: hdr.TraceID}
 	}
 	resolveSpan := func() *protocol.SpanNode {
@@ -888,7 +885,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 				AppID:     hdr.AppID,
 				ModelName: hdr.ModelName,
 				Seq:       hdr.Seq,
-				Load:      s.hintFor(hdr.Hints),
+				Load:      s.loadHint(),
 				NeedBlob:  true,
 				Span:      resolveSpan(),
 			}, nil)
@@ -923,7 +920,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		AppID:     hdr.AppID,
 		ModelName: hdr.ModelName,
 		Seq:       hdr.Seq,
-		Load:      s.hintFor(hdr.Hints),
+		Load:      s.loadHint(),
 		Span:      resolveSpan(),
 	}, nil)
 }
@@ -1178,9 +1175,7 @@ type svcTiming struct {
 	// result delta (a full result arrives encoded); snapshotResponse
 	// closes the span after any compression.
 	encodeStart time.Time
-	// streamWait is the mux stream-semaphore wait; negative when the
-	// request was dispatched serially (there is then no semaphore, so zero
-	// would be indistinguishable from an uncontended mux stream).
+	// streamWait is the stream-semaphore wait before dispatch.
 	streamWait time.Duration
 	// spans carries the request's fleet-hop span trail (registry locates,
 	// peer fetches during delta base recovery) into the flight recorder.
@@ -1192,21 +1187,16 @@ type svcTiming struct {
 // errors so the connection handler can answer with the overload marker and
 // load hint that redirect the client to local execution. On success tm (when
 // non-nil) receives the task's queue wait, execution time, and batch size.
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, hdr protocol.SnapshotHeader, tm *svcTiming, size int64) (*execResult, error) {
+func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*execResult, error) {
 	task := sched.NewTask(s.batchKey(snap), snap)
 	task.Bytes = size
 	if err := s.sched.Submit(task); err != nil {
-		return nil, &overloadError{
-			err:        err,
-			seq:        hdr.Seq,
-			overloaded: errors.Is(err, sched.ErrQueueFull),
-			hints:      hdr.Hints,
-		}
+		return nil, &overloadError{err: err, overloaded: errors.Is(err, sched.ErrQueueFull)}
 	}
 	v, err := task.Wait()
 	if err != nil {
 		if errors.Is(err, sched.ErrClosed) {
-			return nil, &overloadError{err: err, seq: hdr.Seq, hints: hdr.Hints}
+			return nil, &overloadError{err: err}
 		}
 		return nil, err
 	}
@@ -1238,7 +1228,7 @@ func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) 
 		return protocol.Message{}, err
 	}
 	tm := &svcTiming{decode: time.Since(decodeStart), streamWait: streamWait}
-	result, err := s.scheduleSnapshot(snap, hdr, tm, int64(len(plain)))
+	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
 	if err != nil {
 		return protocol.Message{}, err
 	}
@@ -1249,8 +1239,8 @@ func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) 
 
 // snapshotResponse frames a result body, mirroring the request's encoding.
 // With tm set it also closes out the request's server-side trace: the spans
-// feed the server recorder and trace log unconditionally, and ride back to
-// the client in the response header when the request negotiated HintTraceV1.
+// feed the server recorder and trace log, and ride back to the client in
+// the response header.
 func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol.SnapshotHeader, body []byte, tm *svcTiming) (protocol.Message, error) {
 	encoding := protocol.EncodingRaw
 	if req.Encoding == protocol.EncodingFlate {
@@ -1263,31 +1253,21 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 	}
 	hdr := protocol.SnapshotHeader{
 		AppID: appID, Seq: req.Seq, Encoding: encoding,
-		Load: s.hintFor(req.Hints),
-	}
-	if req.Hints >= protocol.HintCRCV1 {
-		hdr.BodyCRC = protocol.BodyChecksum(body)
+		Load:    s.loadHint(),
+		BodyCRC: protocol.BodyChecksum(body),
 	}
 	if tm != nil {
 		encode := time.Since(tm.encodeStart)
-		st := &protocol.ServerTrace{
-			TraceID:       req.TraceID,
-			DecodeMicros:  tm.decode.Microseconds(),
-			QueueMicros:   tm.queue.Microseconds(),
-			ExecuteMicros: tm.exec.Microseconds(),
-			EncodeMicros:  encode.Microseconds(),
-			BatchSize:     tm.batch,
+		hdr.ServerTrace = &protocol.ServerTrace{
+			TraceID:          req.TraceID,
+			DecodeMicros:     tm.decode.Microseconds(),
+			QueueMicros:      tm.queue.Microseconds(),
+			ExecuteMicros:    tm.exec.Microseconds(),
+			EncodeMicros:     encode.Microseconds(),
+			BatchSize:        tm.batch,
+			StreamWaitMicros: tm.streamWait.Microseconds(),
 		}
-		// The mux stream-semaphore wait joins the report only for
-		// telemetry-capable clients: the field is omitempty and gated, so
-		// older clients' response bytes are unchanged.
-		if req.Hints >= protocol.HintTelemetryV1 && tm.streamWait > 0 {
-			st.StreamWaitMicros = tm.streamWait.Microseconds()
-		}
-		s.observeTrace(appID, req.Seq, tm, encode, st)
-		if req.Hints >= protocol.HintTraceV1 {
-			hdr.ServerTrace = st
-		}
+		s.observeTrace(appID, req.Seq, tm, encode, hdr.ServerTrace)
 	}
 	return protocol.Encode(t, hdr, body)
 }
@@ -1299,13 +1279,8 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode time.Duration, st *protocol.ServerTrace) {
 	s.rec.Observe(trace.StageQueue, tm.queue)
 	s.rec.Observe(trace.StageExecute, tm.decode+tm.exec+encode)
-	if tm.streamWait >= 0 {
-		s.rec.Observe(trace.StageStreamWait, tm.streamWait)
-	}
-	total := tm.decode + tm.queue + tm.exec + encode
-	if tm.streamWait > 0 {
-		total += tm.streamWait
-	}
+	s.rec.Observe(trace.StageStreamWait, tm.streamWait)
+	total := tm.streamWait + tm.decode + tm.queue + tm.exec + encode
 	if s.cfg.SLO != nil {
 		s.cfg.SLO.Observe(total)
 		// A request that blew the objective is exactly what the flight
@@ -1427,9 +1402,9 @@ func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Durat
 		return protocol.Message{}, err
 	}
 	// Base recovery crosses fleet hops; propagate the request's trace
-	// through them when the client negotiated telemetry.
+	// through them.
 	var trail *spanTrail
-	if hdr.Hints >= protocol.HintTelemetryV1 && hdr.TraceID != "" {
+	if hdr.TraceID != "" {
 		trail = &spanTrail{traceID: hdr.TraceID}
 	}
 	base, ok := s.store.GetState(delta.AppID)
@@ -1461,7 +1436,7 @@ func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Durat
 	if trail != nil {
 		tm.spans = trail.spans
 	}
-	result, err := s.scheduleSnapshot(preExec, hdr, tm, int64(len(plain)))
+	result, err := s.scheduleSnapshot(preExec, tm, int64(len(plain)))
 	if err != nil {
 		return protocol.Message{}, err
 	}

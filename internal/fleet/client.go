@@ -85,7 +85,6 @@ func (c *RegistryClient) do(req protocol.Message) (protocol.Message, error) {
 
 // Register sends one registration/heartbeat.
 func (c *RegistryClient) Register(hdr protocol.FleetRegisterHeader) (protocol.FleetRegisteredHeader, error) {
-	hdr.Hints = protocol.HintFleetV1
 	req, err := protocol.Encode(protocol.MsgFleetRegister, hdr, nil)
 	if err != nil {
 		return protocol.FleetRegisteredHeader{}, err
@@ -104,8 +103,7 @@ func (c *RegistryClient) Register(hdr protocol.FleetRegisterHeader) (protocol.Fl
 
 // FetchView fetches the current fleet view and caches it on success.
 func (c *RegistryClient) FetchView() (protocol.FleetViewHeader, error) {
-	req, err := protocol.Encode(protocol.MsgFleetList,
-		protocol.FleetListHeader{Hints: protocol.HintFleetV1}, nil)
+	req, err := protocol.Encode(protocol.MsgFleetList, protocol.FleetListHeader{}, nil)
 	if err != nil {
 		return protocol.FleetViewHeader{}, err
 	}
@@ -161,16 +159,11 @@ func (c *RegistryClient) Locate(keys []string) (map[string][]string, error) {
 }
 
 // LocateTraced is Locate with cross-process trace propagation: traceID is
-// stamped on the request (HintTelemetryV1) and the registry's span for the
-// hop comes back alongside the holders. An empty traceID degrades to the
-// untraced request, byte-identical to Locate against old registries.
+// stamped on the request and the registry's span for the hop comes back
+// alongside the holders. An empty traceID sends the untraced request.
 func (c *RegistryClient) LocateTraced(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error) {
-	hdr := protocol.BlobLocateHeader{Keys: keys, Hints: protocol.HintFleetV1}
-	if traceID != "" {
-		hdr.Hints = protocol.HintTelemetryV1
-		hdr.TraceID = traceID
-	}
-	req, err := protocol.Encode(protocol.MsgBlobLocate, hdr, nil)
+	req, err := protocol.Encode(protocol.MsgBlobLocate,
+		protocol.BlobLocateHeader{Keys: keys, TraceID: traceID}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,7 +180,7 @@ func (c *RegistryClient) LocateTraced(keys []string, traceID string) (map[string
 		return nil, nil, err
 	}
 	span := loc.Span
-	if traceID != "" && span != nil {
+	if span != nil {
 		// The registry measured only its own work; the caller's view of the
 		// hop includes the round trip. Wrap so the tree keeps both.
 		span = &protocol.SpanNode{

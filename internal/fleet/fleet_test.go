@@ -3,11 +3,14 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"websnap/internal/protocol"
+	"websnap/internal/testutil"
 )
 
 // fakeClock drives registry expiry without sleeping.
@@ -337,5 +340,69 @@ func TestBlobStore(t *testing.T) {
 	}
 	if !b.Has("k0") || b.Has("nope") {
 		t.Fatal("Has mismatch")
+	}
+}
+
+// TestRegistryRefusesBadVersion pins the version handshake at the
+// registry: a version-1 frame is answered with one MsgError naming the
+// version, and the registry then closes the connection.
+func TestRegistryRefusesBadVersion(t *testing.T) {
+	addr, stop := startWireRegistry(t, NewRegistry(RegistryOptions{}))
+	defer stop()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	msg, err := protocol.Encode(protocol.MsgFleetList, protocol.FleetListHeader{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := testutil.WriteFrameVersion(c, msg, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := protocol.Read(c)
+	if err != nil {
+		t.Fatalf("read refusal: %v", err)
+	}
+	var hdr protocol.ErrorHeader
+	if resp.Type != protocol.MsgError || protocol.DecodeHeader(resp, &hdr) != nil {
+		t.Fatalf("response = %s %s, want an error frame", resp.Type, resp.Header)
+	}
+	if !strings.Contains(hdr.Message, "version") || !strings.Contains(hdr.Message, "1") {
+		t.Errorf("error message %q does not name the version", hdr.Message)
+	}
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("after the refusal: read err = %v, want EOF", err)
+	}
+}
+
+// TestRegistryClientRejectsOldRegistry pins the handshake from the client
+// side: a registry answering with version-1 frames fails the request with
+// an error matching protocol.ErrBadVersion.
+func TestRegistryClientRejectsOldRegistry(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := protocol.Read(c); err != nil {
+			return
+		}
+		view, _ := protocol.Encode(protocol.MsgFleetView, protocol.FleetViewHeader{Version: 1}, nil)
+		_ = testutil.WriteFrameVersion(c, view, 1)
+	}()
+	c := NewRegistryClient(ln.Addr().String(), ClientOptions{Timeout: 5 * time.Second})
+	if _, err := c.FetchView(); !errors.Is(err, protocol.ErrBadVersion) {
+		t.Fatalf("FetchView from a version-1 registry: err = %v, want ErrBadVersion", err)
 	}
 }

@@ -32,8 +32,8 @@ type entry struct {
 	blobs    map[string]struct{}
 	last     time.Time // registry clock
 	// stats is the member's last piggybacked telemetry digest (nil for
-	// members that predate HintTelemetryV1). Digests are cumulative, so
-	// keeping only the latest loses nothing.
+	// members whose agent has no digest supplier). Digests are cumulative,
+	// so keeping only the latest loses nothing.
 	stats *protocol.StatsDigest
 }
 

@@ -116,6 +116,14 @@ func (s *RegistryServer) handleConn(conn net.Conn) {
 		}
 		msg, err := protocol.Read(conn)
 		if err != nil {
+			if errors.Is(err, protocol.ErrBadVersion) || errors.Is(err, protocol.ErrBadMagic) {
+				// The version byte is the handshake: tell the peer why
+				// before hanging up.
+				s.log.Warn("fleet: refusing peer", obs.Err(err))
+				// The connection is dropped either way; a failed refusal
+				// write leaves the peer with its own read error.
+				_ = protocol.Refuse(conn, err.Error())
+			}
 			return
 		}
 		if err := s.dispatch(conn, msg); err != nil {
@@ -163,11 +171,10 @@ func (s *RegistryServer) dispatch(conn net.Conn, msg protocol.Message) error {
 		}
 		start := time.Now()
 		resp := protocol.BlobLocationHeader{Holders: s.reg.Locate(hdr.Keys)}
-		if hdr.Hints >= protocol.HintTelemetryV1 {
+		if hdr.TraceID != "" {
 			// The requester propagated a trace through the registry hop:
 			// answer with the registry's span so the hop shows up in the
-			// request's merged span tree. Old requesters get byte-identical
-			// replies (the field is omitempty).
+			// request's merged span tree.
 			resp.Span = &protocol.SpanNode{
 				Op:     "registry_locate",
 				Addr:   "registry",

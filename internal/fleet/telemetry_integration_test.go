@@ -30,7 +30,7 @@ import (
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
 // TestFleetRoamTraceTree is the tentpole acceptance test: a three-server
-// fleet, a telemetry-enabled roaming client. The A→B handoff pre-send
+// fleet, a roaming client. The A→B handoff pre-send
 // must come back as ONE span tree under one 16-hex trace ID covering
 // every process the handoff touched: the client (root), server B (resolve),
 // the registry (locate hop), and server A (peer blob serve).
@@ -72,7 +72,6 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	if addr, _ := roamer.Current(); addr != addrA {
 		t.Fatalf("connected to %q, want A=%q", addr, addrA)
 	}
-	conn.EnableTelemetry()
 
 	app, err := mlapp.NewFullApp("trace-app", "tiny", model, labels)
 	if err != nil {
@@ -118,7 +117,6 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	if err != nil || !switched {
 		t.Fatalf("hop A→B: switched=%v err=%v", switched, err)
 	}
-	newConn.EnableTelemetry()
 	if err := off.Retarget(newConn); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestFleetRoamTraceTree(t *testing.T) {
 
 	span := off.Stats().LastHandoffSpan
 	if span == nil {
-		t.Fatal("telemetry-enabled handoff produced no span tree")
+		t.Fatal("handoff produced no span tree")
 	}
 	if span.Op != "handoff_presend" || span.Addr != "client" {
 		t.Fatalf("tree root = %s@%s, want handoff_presend@client", span.Op, span.Addr)

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"unicode/utf8"
@@ -9,6 +10,8 @@ import (
 
 // FuzzRead hardens the frame parser: arbitrary bytes must either parse into
 // a message that round-trips, or fail cleanly — never panic or over-read.
+// A frame with the right magic and any other version byte must fail with
+// ErrBadVersion: the version byte is the protocol handshake.
 func FuzzRead(f *testing.F) {
 	msg, err := Encode(MsgSnapshot, SnapshotHeader{AppID: "a", Seq: 1}, []byte("body"))
 	if err != nil {
@@ -21,8 +24,19 @@ func FuzzRead(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add(make([]byte, 18))
+	for _, v := range []byte{0, 1, 255} {
+		frame := bytes.Clone(buf.Bytes())
+		frame[4] = v
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
+		if len(data) >= 18 && binary.LittleEndian.Uint32(data) == magic && data[4] != version {
+			if !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("version %d frame: err = %v, want ErrBadVersion", data[4], err)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -42,25 +56,22 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip fuzzes the structured path: a SnapshotHeader under
-// arbitrary hint-version permutations (none, HintLoadV1, HintTraceV1,
-// HintCRCV1, and unknown future versions) must frame, parse, and decode
-// back field-for-field, and the body checksum must verify exactly when it
-// was computed over the bytes that arrived.
+// FuzzFrameRoundTrip fuzzes the structured path: a SnapshotHeader must
+// frame, parse, and decode back field-for-field, and the body checksum must
+// verify exactly when it was computed over the bytes that arrived.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(0, uint64(0), "app", "", []byte(nil), false)
-	f.Add(int(HintLoadV1), uint64(1), "a", "", []byte("body"), false)
-	f.Add(int(HintTraceV1), uint64(7), "roam-app", "0123456789abcdef", []byte("snapshot body"), false)
-	f.Add(int(HintCRCV1), uint64(1)<<40, "x", "deadbeef", bytes.Repeat([]byte{0xA5}, 300), true)
-	f.Add(99, uint64(1), "", "", []byte{0}, true)
-	f.Fuzz(func(t *testing.T, hints int, seq uint64, appID, traceID string, body []byte, flipCRC bool) {
+	f.Add(uint64(0), "app", "", []byte(nil), false)
+	f.Add(uint64(1), "a", "", []byte("body"), false)
+	f.Add(uint64(7), "roam-app", "0123456789abcdef", []byte("snapshot body"), false)
+	f.Add(uint64(1)<<40, "x", "deadbeef", bytes.Repeat([]byte{0xA5}, 300), true)
+	f.Add(uint64(1), "", "", []byte{0}, true)
+	f.Fuzz(func(t *testing.T, seq uint64, appID, traceID string, body []byte, flipCRC bool) {
 		if len(appID)+len(traceID) > MaxHeaderLen/2 {
 			return // oversized metadata is rejected by Write, not round-tripped
 		}
 		hdr := SnapshotHeader{
 			AppID:   appID,
 			Seq:     seq,
-			Hints:   hints,
 			TraceID: traceID,
 			BodyCRC: BodyChecksum(body),
 		}
@@ -86,7 +97,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := DecodeHeader(got, &back); err != nil {
 			t.Fatalf("decode header: %v", err)
 		}
-		if back.Seq != seq || back.Hints != hints || back.BodyCRC != hdr.BodyCRC {
+		if back.Seq != seq || back.BodyCRC != hdr.BodyCRC {
 			t.Errorf("header round-trip mismatch: got %+v, sent %+v", back, hdr)
 		}
 		// JSON replaces invalid UTF-8 in strings, so only well-formed

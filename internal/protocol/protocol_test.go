@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,10 +32,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{"done", mustEncode(t, MsgInstallDone, InstallDoneHeader{SynthesisMillis: 1900}, nil), nil},
 		{"fleet-register", mustEncode(t, MsgFleetRegister,
 			FleetRegisterHeader{Addr: "10.0.0.1:9000", Capacity: 4, TTLMillis: 3000,
-				Load: &LoadHint{Workers: 4, Busy: 2}, Blobs: []string{"abc123", "def456"}, Hints: HintFleetV1},
+				Load: &LoadHint{Workers: 4, Busy: 2}, Blobs: []string{"abc123", "def456"}},
 			nil), nil},
 		{"fleet-registered", mustEncode(t, MsgFleetRegistered, FleetRegisteredHeader{Servers: 3, Version: 17}, nil), nil},
-		{"fleet-list", mustEncode(t, MsgFleetList, FleetListHeader{Hints: HintFleetV1}, nil), nil},
+		{"fleet-list", mustEncode(t, MsgFleetList, FleetListHeader{}, nil), nil},
 		{"fleet-view", mustEncode(t, MsgFleetView,
 			FleetViewHeader{Version: 17, Servers: []FleetServer{{Addr: "10.0.0.1:9000", Capacity: 4, AgeMillis: 120}}},
 			nil), nil},
@@ -201,30 +202,38 @@ func TestMsgTypeString(t *testing.T) {
 	}
 }
 
-// TestRefPreSendHeaderCompat checks that the fleet extension fields stay
-// invisible to old peers: a header without BlobKey/RefOnly/NeedBlob/Fleet
-// encodes byte-identically to the pre-extension layout.
+// TestRefPreSendHeaderCompat pins the wire keys of the fleet fields: a
+// reference pre-send, its NeedBlob ack and a fleet pong encode each field
+// under its documented JSON key and decode back unchanged.
 func TestRefPreSendHeaderCompat(t *testing.T) {
-	plain, err := json.Marshal(ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{}`)})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		v, back   any
+		key, want string
+	}{
+		{"presend blob key", ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{}`), BlobKey: "k1", RefOnly: true},
+			&ModelPreSendHeader{}, `"blobKey":"k1"`, `"refOnly":true`},
+		{"ack need blob", AckHeader{AppID: "a", ModelName: "m", NeedBlob: true},
+			&AckHeader{}, `"needBlob":true`, `"appId":"a"`},
+		{"pong fleet", PongHeader{Installed: true, Fleet: true},
+			&PongHeader{}, `"fleet":true`, `"installed":true`},
 	}
-	if strings.Contains(string(plain), "blobKey") || strings.Contains(string(plain), "refOnly") {
-		t.Errorf("unset fleet fields leaked into header: %s", plain)
-	}
-	ack, err := json.Marshal(AckHeader{AppID: "a", ModelName: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(ack), "needBlob") {
-		t.Errorf("unset NeedBlob leaked into ack header: %s", ack)
-	}
-	pong, err := json.Marshal(PongHeader{Installed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(pong), "fleet") {
-		t.Errorf("unset Fleet leaked into pong header: %s", pong)
+	for _, tc := range cases {
+		data, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, key := range []string{tc.key, tc.want} {
+			if !strings.Contains(string(data), key) {
+				t.Errorf("%s: %s missing from header: %s", tc.name, key, data)
+			}
+		}
+		if err := json.Unmarshal(data, tc.back); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reflect.ValueOf(tc.back).Elem().Interface(); !reflect.DeepEqual(got, tc.v) {
+			t.Errorf("%s: round trip = %+v, want %+v", tc.name, got, tc.v)
+		}
 	}
 }
 
@@ -317,7 +326,7 @@ func TestBodyChecksumVerify(t *testing.T) {
 	if err := VerifyBody(body, sum); err != nil {
 		t.Errorf("matching checksum rejected: %v", err)
 	}
-	// Zero sum means "unchecked" (old peer): always passes.
+	// Zero sum means "unchecked": always passes.
 	if err := VerifyBody(body, 0); err != nil {
 		t.Errorf("zero checksum must be skipped: %v", err)
 	}

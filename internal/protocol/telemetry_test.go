@@ -8,32 +8,39 @@ import (
 	"time"
 )
 
-// TestTelemetryHeaderCompat checks that the HintTelemetryV1 extension
-// fields stay invisible to old peers: every header that grew a gated field
-// encodes byte-identically to the pre-extension layout when the field is
-// unset.
+// TestTelemetryHeaderCompat pins the wire keys of the telemetry fields:
+// every header that carries a trace ID, a span tree, a stats digest or the
+// stream wait encodes it under its documented JSON key and decodes it back
+// unchanged.
 func TestTelemetryHeaderCompat(t *testing.T) {
+	span := &SpanNode{Op: "blob_serve", Micros: 3}
 	cases := []struct {
-		name string
-		v    any
-		leak string
+		name    string
+		v, back any
+		key     string
 	}{
-		{"presend trace", ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{}`)}, "traceId"},
-		{"ack span", AckHeader{AppID: "a", ModelName: "m"}, "span"},
-		{"locate trace", BlobLocateHeader{Keys: []string{"k"}}, "traceId"},
-		{"location span", BlobLocationHeader{Holders: map[string][]string{"k": {"s"}}}, "span"},
-		{"blob get trace", BlobGetHeader{Key: "k"}, "traceId"},
-		{"blob data span", BlobDataHeader{Key: "k", BodyCRC: 1}, "span"},
-		{"register stats", FleetRegisterHeader{Addr: "a", Capacity: 1}, "stats"},
-		{"server trace stream wait", ServerTrace{TraceID: "t", ExecuteMicros: 5}, "streamWaitMicros"},
+		{"presend trace", ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{}`), TraceID: "t1"}, &ModelPreSendHeader{}, `"traceId":"t1"`},
+		{"ack span", AckHeader{AppID: "a", ModelName: "m", Span: span}, &AckHeader{}, `"span":{`},
+		{"locate trace", BlobLocateHeader{Keys: []string{"k"}, TraceID: "t1"}, &BlobLocateHeader{}, `"traceId":"t1"`},
+		{"location span", BlobLocationHeader{Holders: map[string][]string{"k": {"s"}}, Span: span}, &BlobLocationHeader{}, `"span":{`},
+		{"blob get trace", BlobGetHeader{Key: "k", TraceID: "t1"}, &BlobGetHeader{}, `"traceId":"t1"`},
+		{"blob data span", BlobDataHeader{Key: "k", BodyCRC: 1, Span: span}, &BlobDataHeader{}, `"span":{`},
+		{"register stats", FleetRegisterHeader{Addr: "a", Capacity: 1, Stats: &StatsDigest{QueueDepth: 2}}, &FleetRegisterHeader{}, `"stats":{`},
+		{"server trace stream wait", ServerTrace{TraceID: "t", ExecuteMicros: 5, StreamWaitMicros: 7}, &ServerTrace{}, `"streamWaitMicros":7`},
 	}
 	for _, tc := range cases {
 		data, err := json.Marshal(tc.v)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if strings.Contains(string(data), tc.leak) {
-			t.Errorf("%s: unset telemetry field leaked into header: %s", tc.name, data)
+		if !strings.Contains(string(data), tc.key) {
+			t.Errorf("%s: %s missing from header: %s", tc.name, tc.key, data)
+		}
+		if err := json.Unmarshal(data, tc.back); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reflect.ValueOf(tc.back).Elem().Interface(); !reflect.DeepEqual(got, tc.v) {
+			t.Errorf("%s: round trip = %+v, want %+v", tc.name, got, tc.v)
 		}
 	}
 }

@@ -13,7 +13,8 @@
 //     (FlightRecorder), dumped via /debug/flight.
 //
 // Cross-process span propagation itself rides in the protocol package
-// (SpanNode, HintTelemetryV1); this package consumes the resulting trees.
+// (SpanNode, attached whenever a request carries a TraceID); this package
+// consumes the resulting trees.
 package telemetry
 
 import (

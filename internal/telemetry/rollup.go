@@ -12,8 +12,8 @@ import (
 )
 
 // ServerStats is one fleet member's last-heartbeated telemetry state as
-// the registry stores it: identity, load, and (for telemetry-capable
-// members) the cumulative stats digest.
+// the registry stores it: identity, load, and (for members that heartbeat
+// one) the cumulative stats digest.
 type ServerStats struct {
 	Addr     string             `json:"addr"`
 	Capacity int                `json:"capacity"`
@@ -21,8 +21,8 @@ type ServerStats struct {
 	// AgeMillis is the heartbeat staleness at snapshot time (registry
 	// clock).
 	AgeMillis int64 `json:"ageMillis"`
-	// Stats is the member's digest; nil for members that predate the
-	// telemetry extension.
+	// Stats is the member's digest; nil for members whose heartbeats
+	// carry none.
 	Stats *protocol.StatsDigest `json:"stats,omitempty"`
 }
 
@@ -132,7 +132,7 @@ type ServerSummary struct {
 	Stages       map[string]StageSummary `json:"stages,omitempty"`
 	Decisions    map[string]uint64       `json:"decisions,omitempty"`
 	// Telemetry reports whether the member heartbeats digests; false for
-	// members that predate the extension (their stage/decision fields are
+	// members without a digest supplier (their stage/decision fields are
 	// empty, not zero).
 	Telemetry bool `json:"telemetry"`
 }

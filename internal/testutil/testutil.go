@@ -1,15 +1,19 @@
-// Package testutil holds leak-checking helpers shared by integration and
-// soak tests: a goroutine-leak checker based on runtime.Stack snapshot
-// diffing, and a pooled-buffer balance assertion over the tensor buffer
-// pool's traffic counters.
+// Package testutil holds helpers shared by integration and soak tests: a
+// goroutine-leak checker based on runtime.Stack snapshot diffing, a
+// pooled-buffer balance assertion over the tensor buffer pool's traffic
+// counters, and a frame writer that stands in for a peer of another
+// protocol version.
 package testutil
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"time"
 
+	"websnap/internal/protocol"
 	"websnap/internal/tensor"
 )
 
@@ -153,4 +157,17 @@ func LeakCheck(t TB) {
 // tells the reader how to reproduce it.
 func Seed(seed int64) string {
 	return fmt.Sprintf("replay with seed %d", seed)
+}
+
+// WriteFrameVersion writes msg as one frame, like protocol.Write, but
+// stamped with the given protocol version byte: a peer of another version.
+func WriteFrameVersion(w io.Writer, msg protocol.Message, version byte) error {
+	var buf bytes.Buffer
+	if err := protocol.Write(&buf, msg); err != nil {
+		return err
+	}
+	frame := buf.Bytes()
+	frame[4] = version
+	_, err := w.Write(frame)
+	return err
 }
